@@ -1,6 +1,6 @@
 # Developer conveniences; everything also works as plain pytest/python calls.
 
-.PHONY: install test bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke ci lint clean
+.PHONY: install test bench examples experiments serve-smoke cluster-smoke chaos-smoke recovery-smoke bench-core-smoke bench-eval-smoke bench-batch-smoke bench-ingest-smoke perfbench-selftest ci lint clean
 
 install:
 	pip install -e .
@@ -53,6 +53,11 @@ bench-batch-smoke:
 # and on a >= 4-CPU runner a 4x re-warm speedup floor.
 bench-ingest-smoke:
 	PYTHONPATH=src python scripts/bench_ingest_smoke.py
+
+# Self-tests of the repository benchmark (percentile rule, seeding,
+# self-time arithmetic, ladder rule); no server is launched.
+perfbench-selftest:
+	python3 -m pytest perfbench/test_perfbench.py
 
 # Mirrors .github/workflows/ci.yml: the test matrix plus the lint job.
 # Lint is skipped with a notice when ruff is not installed locally.

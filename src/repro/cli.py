@@ -36,7 +36,6 @@ from repro.core.selection import SELECTORS, make_selector
 from repro.data.instances import build_instance
 from repro.data.io import load_corpus, save_corpus
 from repro.data.synthetic import generate_corpus
-from repro.eval.runner import EvaluationSettings
 from repro.graph.similarity import build_item_graph
 from repro.graph.target_hks import solve_greedy, solve_ilp
 
@@ -421,6 +420,7 @@ _EXPERIMENTS = {
 def _command_experiment(args: argparse.Namespace) -> int:
     import contextlib
 
+    from repro.eval.runner import EvaluationSettings
     from repro.experiments.persist import checkpointing
     from repro.resilience.deadline import DeadlineExceeded, deadline_scope
 

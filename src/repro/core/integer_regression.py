@@ -147,6 +147,29 @@ def nomp(matrix: np.ndarray, target: np.ndarray, max_atoms: int) -> np.ndarray:
     return path[-1]
 
 
+def _round_robin(
+    counts: np.ndarray, slack: np.ndarray, order: np.ndarray, remaining: int
+) -> None:
+    """Hand out ``remaining`` units in ``order``, one per index per pass.
+
+    Updates ``counts`` and ``slack`` in place.  Passing over the order
+    repeatedly keeps the allocation balanced when capacities bind; it
+    stops early once no index has slack left.
+    """
+    while remaining > 0:
+        progressed = False
+        for index in order:
+            if remaining == 0:
+                break
+            if slack[index] > 0:
+                counts[index] += 1
+                slack[index] -= 1
+                remaining -= 1
+                progressed = True
+        if not progressed:
+            break
+
+
 def largest_remainder_round(
     ideal: np.ndarray, capacities: np.ndarray, total: int
 ) -> np.ndarray:
@@ -163,112 +186,125 @@ def largest_remainder_round(
     base = np.minimum(np.floor(ideal + 1e-12), capacities).astype(int)
     remaining = min(int(total) - int(base.sum()), int((capacities - base).sum()))
     if remaining > 0:
-        remainders = ideal - base
-        slack = (capacities - base).astype(int)
-        order = np.argsort(-remainders, kind="stable")
-        # Round-robin in remainder order: one unit per index per pass, so
-        # the allocation stays balanced even when capacities bind.
-        while remaining > 0:
-            progressed = False
-            for index in order:
-                if remaining == 0:
-                    break
-                if slack[index] > 0:
-                    base[index] += 1
-                    slack[index] -= 1
-                    remaining -= 1
-                    progressed = True
-            if not progressed:
-                break
+        order = np.argsort(base - ideal, kind="stable")
+        _round_robin(base, (capacities - base).astype(int), order, remaining)
     return base
 
 
-def round_to_counts_table(
-    x: np.ndarray, capacities: np.ndarray, max_total: int
-) -> list[tuple[np.ndarray, float] | None]:
-    """Per-total apportionments behind :func:`round_to_counts`.
-
-    Entry ``s - 1`` holds ``(counts, gap)`` for total ``s`` — the
-    largest-remainder apportionment of ``s`` units and its L1-normalised
-    distance to ``x`` — or ``None`` when the allocation collapses to zero.
-    Each row depends only on its own ``s``, never on ``max_total``, so a
-    table built at a large budget serves every smaller budget as a prefix:
-    the cross-request batch solver rounds one shared pursuit path once and
-    replays each request's budget as a prefix scan.  An empty list means
-    ``x`` carries no mass (the rounded counts are all zero).
-    """
-    x = np.asarray(x, dtype=float)
-    mass = float(np.abs(x).sum())
-    if mass == 0.0 or max_total <= 0:
-        return []
-    normalised = x / mass
-
-    # All apportionment inputs are batched over s = 1..max_total up front:
-    # one vectorised floor/remainder pass and a single 2-D stable argsort
-    # replace the per-total recomputation inside the loop (the allocation
-    # itself stays per-s; it touches at most s units).
-    ideals = np.arange(1, max_total + 1, dtype=float)[:, None] * normalised[None, :]
-    if np.any(ideals < -1e-12):
-        raise ValueError("ideal allocations must be non-negative")
-    ideals = np.maximum(ideals, 0.0)
-    bases = np.minimum(np.floor(ideals + 1e-12), capacities[None, :]).astype(int)
-    orders = np.argsort(bases - ideals, axis=1, kind="stable")
-    all_slacks = capacities[None, :] - bases
-
-    table: list[tuple[np.ndarray, float] | None] = []
-    for row in range(max_total):
-        s = row + 1
-        counts = bases[row]
-        remaining = min(s - int(counts.sum()), int(all_slacks[row].sum()))
-        if remaining > 0:
-            counts = counts.copy()
-            slack = all_slacks[row].copy()
-            # Round-robin in remainder order, exactly as
-            # largest_remainder_round does: one unit per index per pass.
-            while remaining > 0:
-                progressed = False
-                for index in orders[row]:
-                    if remaining == 0:
-                        break
-                    if slack[index] > 0:
-                        counts[index] += 1
-                        slack[index] -= 1
-                        remaining -= 1
-                        progressed = True
-                if not progressed:
-                    break
-        count_sum = int(counts.sum())
-        if count_sum == 0:
-            table.append(None)
-            continue
-        gap = float(np.abs(counts / count_sum - normalised).sum())
-        table.append((counts, gap))
-    return table
+#: Upper bound on the elements of one (steps, totals, groups) block in
+#: :func:`apportion_path`; longer paths are apportioned a chunk of steps
+#: at a time so memory stays at one step's (totals, groups) table.
+_APPORTION_ELEMENTS = 1 << 18
 
 
-def best_counts_in_table(
-    table: Sequence[tuple[np.ndarray, float] | None],
+def apportion_path(
+    path: Sequence[np.ndarray] | np.ndarray,
+    capacities: np.ndarray,
     max_total: int,
-    num_groups: int,
-) -> np.ndarray:
-    """The winning counts among totals ``1..max_total`` of ``table``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Largest-remainder apportionments for every path step and total.
 
-    Applies :func:`round_to_counts`'s exact rule — strict 1e-12
-    improvement, lowest total wins ties — so slicing a shared table is
-    byte-identical to rounding from scratch at ``max_total``.
+    Returns ``(counts, gaps)`` of shapes ``(L, max_total, q)`` and
+    ``(L, max_total)`` for the ``L`` rows of ``path``: ``counts[l, s-1]``
+    apportions ``s`` units to ``path[l]`` and ``gaps[l, s-1]`` is its
+    L1-normalised distance to ``path[l]``, ``inf`` when the allocation is
+    empty (no mass, or no capacity).  Each row depends only on its own
+    ``(l, s)``, never on ``max_total``, so a table built at a large budget
+    serves every smaller budget as a prefix.
+
+    The round-robin of :func:`largest_remainder_round` gives one unit per
+    index with slack, in remainder order, per pass.  When the first pass
+    already places every remaining unit, the units go to exactly the first
+    ``remaining`` indices with slack in that order, so a rank mask fills
+    all such rows at once.  Only rows that need a second pass (a capacity
+    binds) run the loop.
     """
-    best_counts: np.ndarray | None = None
-    best_gap = np.inf
-    for entry in table[:max_total]:
-        if entry is None:
-            continue
-        counts, gap = entry
-        if gap < best_gap - 1e-12:
-            best_gap = gap
-            best_counts = counts
-    if best_counts is None:
-        return np.zeros(num_groups, dtype=int)
-    return best_counts
+    xs = np.asarray(path, dtype=float).reshape(len(path), len(capacities))
+    totals = max(int(max_total), 0)
+    masses = np.abs(xs).sum(axis=1)
+    if not (masses.all() and capacities.any()):
+        # A step without mass, or no capacity at all, allocates nothing.
+        live = (masses != 0.0) & capacities.any()
+        counts = np.zeros((len(xs), totals, len(capacities)), dtype=int)
+        gaps = np.full((len(xs), totals), np.inf)
+        if live.any():
+            counts[live], gaps[live] = apportion_path(xs[live], capacities, totals)
+        return counts, gaps
+    chunk = max(1, _APPORTION_ELEMENTS // max(1, totals * len(capacities)))
+    parts = [
+        _apportion_steps(
+            xs[start : start + chunk], masses[start : start + chunk],
+            capacities, totals,
+        )
+        for start in range(0, max(len(xs), 1), chunk)
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        np.concatenate([counts for counts, _ in parts]),
+        np.concatenate([gaps for _, gaps in parts]),
+    )
+
+
+def _apportion_steps(
+    xs: np.ndarray, masses: np.ndarray, capacities: np.ndarray, max_total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apportion_path` for one chunk of steps, each with mass."""
+    # Every expression below is elementwise or reduces along the last,
+    # contiguous axis, so each (step, total) row holds exactly the floats
+    # the one-row computation would.
+    num_groups = xs.shape[1]
+    normalised = xs / masses[:, None]
+    scale = np.arange(1, max_total + 1)
+    ideals = scale[:, None] * normalised[:, None, :]
+    if xs.size and xs.min() < 0.0:
+        if ideals.min() < -1e-12:
+            raise ValueError("ideal allocations must be non-negative")
+        np.maximum(ideals, 0.0, out=ideals)
+    # Truncation is the floor here: the ideals are non-negative.
+    bases = np.minimum((ideals + 1e-12).astype(int), capacities)
+    remaining = np.minimum(scale, capacities.sum()) - bases.sum(axis=2)
+    # Remainder order, ties by index; indices without slack sort last,
+    # which leaves the order among the others unchanged.
+    full = bases == capacities
+    keys = bases - ideals
+    keys[full] = np.inf
+    orders = keys.argsort(axis=2, kind="stable")
+    counts = bases + (orders.argsort(axis=2) < remaining[..., None])
+    # Where one pass cannot place every unit, the mask also reached
+    # indices without slack; the loop redoes those rows.
+    binding = (counts > capacities).any(axis=2)
+    for step, total in zip(*binding.nonzero()):
+        row = counts[step, total]  # a view: the loop fills it in place
+        row[:] = bases[step, total]
+        _round_robin(
+            row, capacities - row, orders[step, total],
+            int(remaining[step, total]),
+        )
+    # Every row holds a unit: with no floor placed, remaining = min(s, sum c)
+    # is at least 1 and some index has slack.
+    shares = counts / counts.sum(axis=2)[..., None]
+    return counts, np.abs(shares - normalised[:, None, :]).sum(axis=2)
+
+
+def prefix_winners(gaps: np.ndarray) -> list[list[int]]:
+    """Winning total per path step and budget, by :func:`round_to_counts`' rule.
+
+    ``gaps`` is :func:`apportion_path`'s ``(L, M)`` table.  Entry
+    ``[l][b-1]`` is the row index of the best total among ``1..b`` for
+    step ``l`` — strict 1e-12 improvement in total order, so the lowest
+    total wins ties — or ``-1`` when no total in ``1..b`` is non-empty.
+    The tolerance makes the rule order-dependent, hence the scan.
+    """
+    winners: list[list[int]] = []
+    for row in gaps.tolist():
+        best, best_gap, prefix = -1, np.inf, []
+        for total, gap in enumerate(row):
+            if gap < best_gap - 1e-12:
+                best, best_gap = total, gap
+            prefix.append(best)
+        winners.append(prefix)
+    return winners
 
 
 def round_to_counts(
@@ -281,8 +317,12 @@ def round_to_counts(
     L1-normalised x (the criterion of Algorithm 1, line 8).  Returns the
     zero vector when x is identically zero.
     """
-    table = round_to_counts_table(x, capacities, max_total)
-    return best_counts_in_table(table, max_total, len(np.asarray(x)))
+    x = np.asarray(x, dtype=float)
+    counts, gaps = apportion_path(x[None, :], capacities, max_total)
+    winner = prefix_winners(gaps)[0][-1] if max_total > 0 else -1
+    if winner < 0:
+        return np.zeros(len(x), dtype=int)
+    return counts[0, winner]
 
 
 def counts_to_selection(
@@ -292,14 +332,18 @@ def counts_to_selection(
 
     Members within a group are interchangeable (identical incidence
     vectors); the first ``nu_i`` members are taken, keeping determinism.
+    Only the groups with a non-zero count are visited.
     """
+    counts = np.asarray(counts)
     selected: list[int] = []
-    for count, group in zip(counts, groups):
+    for group_id in counts.nonzero()[0].tolist():
+        group = groups[group_id]
+        count = int(counts[group_id])
         if count > len(group):
             raise ValueError(
                 f"count {count} exceeds group capacity {len(group)}"
             )
-        selected.extend(group[: int(count)])
+        selected.extend(group[:count])
     return tuple(sorted(selected))
 
 

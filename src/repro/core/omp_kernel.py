@@ -58,8 +58,11 @@ Numerical-faithfulness notes (why selections match the reference):
   pi/phi as ``U @ counts`` is exact under any summation order; the unary
   scheme accumulates raw per-review signed strengths in selection order to
   preserve the reference's floating-point summation;
-* the discrete stage (:func:`~repro.core.integer_regression.round_to_counts`)
-  and the candidate argmin are shared with the reference verbatim.
+* the discrete stage runs the reference's own apportionment
+  (:func:`~repro.core.integer_regression.apportion_path`, behind
+  ``round_to_counts``) and its strict 1e-12 argmin rule, for all path
+  steps at once; :class:`CountsEvaluator` documents why its batched
+  scores equal the reference's one by one.
 
 The equivalence test harness (``tests/test_omp_kernel.py``) and the core
 benchmark (``benchmarks/bench_core_solver.py``) assert identical selections
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from collections.abc import Callable, Iterator, Sequence
 
@@ -77,15 +81,14 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.optimize import nnls
 
-from repro.core.distance import concat_scaled, squared_l2
+from repro.core.distance import concat_scaled
 from repro.core.integer_regression import (
     _CORRELATION_TOLERANCE,
     RegressionSelection,
-    best_counts_in_table,
+    apportion_path,
     counts_to_selection,
     deduplicate_columns,
-    round_to_counts,
-    round_to_counts_table,
+    prefix_winners,
 )
 from repro.core.problem import SelectionConfig
 from repro.core.vectors import OpinionScheme, VectorSpace, _sigmoid
@@ -119,6 +122,16 @@ class StageTimer:
             yield
         finally:
             self.seconds[name] += time.perf_counter() - began
+
+    def lap(self, name: str, began: float) -> float:
+        """Charge the time since ``began`` to ``name``; returns now.
+
+        For hot loops that switch stages back to back, where a
+        :meth:`stage` context per switch would cost more than the work.
+        """
+        now = time.perf_counter()
+        self.seconds[name] += now - began
+        return now
 
     def count(self, name: str, amount: int = 1) -> None:
         """Accumulate an integer event counter (screen sizes, rechecks)."""
@@ -517,7 +530,7 @@ class SolverArtifacts:
             timer=timer if timer is not None else StageTimer(),
             grams=base_grams,
         )
-        self._plus: dict[float, GramBlock] = {}
+        self._plus: OrderedDict[float, GramBlock] = OrderedDict()
         self._strengths: np.ndarray | None = None
         self._solve_cache: dict[tuple, RegressionSelection] = {}
 
@@ -539,11 +552,16 @@ class SolverArtifacts:
 
         The dedup depends on ``mu`` (two reviews with equal opinions and
         aspects are always grouped, but the rounding is applied to the
-        scaled rows), hence the per-``mu`` keying.
+        scaled rows), hence the per-``mu`` keying.  Each block holds a
+        dedup and a Gram, so only the :data:`_PLUS_BLOCK_LIMIT` most
+        recently used ``mu`` values keep theirs; an evicted one is rebuilt
+        on its next use, byte-identically.
         """
         mu = float(mu)
         with self._lock:
             block = self._plus.get(mu)
+            if block is not None:
+                self._plus.move_to_end(mu)
         if block is None:
             block = GramBlock(
                 self._opinion,
@@ -554,8 +572,9 @@ class SolverArtifacts:
                 timer=timer if timer is not None else StageTimer(),
             )
             with self._lock:
-                self._plus.setdefault(mu, block)
-                block = self._plus[mu]
+                block = self._plus.setdefault(mu, block)
+                while len(self._plus) > _PLUS_BLOCK_LIMIT:
+                    self._plus.popitem(last=False)
         return block
 
     def cached_solve(
@@ -701,10 +720,10 @@ class SolverArtifacts:
         extended._aspect = aspect
         extended._lock = threading.Lock()
         extended._base = self._base.extended(opinion, aspect, old_columns, timer)
-        extended._plus = {
-            mu: block.extended(opinion, aspect, old_columns, timer)
+        extended._plus = OrderedDict(
+            (mu, block.extended(opinion, aspect, old_columns, timer))
             for mu, block in plus_blocks.items()
-        }
+        )
         if strengths is None:
             extended._strengths = None
         else:
@@ -723,6 +742,11 @@ class SolverArtifacts:
 #: Upper bound on memoised solves per :class:`SolverArtifacts`; the cache
 #: clears wholesale when full (see :meth:`SolverArtifacts.cached_solve`).
 _SOLVE_CACHE_LIMIT = 1024
+
+#: CompaReSetS+ blocks kept per :class:`SolverArtifacts`, least recently
+#: used evicted first (see :meth:`SolverArtifacts.plus_block`).  Serving
+#: sees a handful of ``mu`` values; each block costs about a Gram.
+_PLUS_BLOCK_LIMIT = 8
 
 #: Valid candidate pre-screen modes for :class:`SolverArtifacts`.
 #: ``auto`` screens provably once an item crosses
@@ -1217,18 +1241,41 @@ def _screened_omp_path(
     return path
 
 
+def _row_distances(rows: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """``squared_l2(rows[i], others[j])`` for every pair, bit for bit.
+
+    ``rows`` is ``(k, n)`` and ``others`` ``(p, n)``; the result is
+    ``(k, p)``.  ``squared_l2`` reduces ``difference @ difference``: a 1-D
+    ``matmul``, which NumPy hands to its ``dot`` kernel (``cblas_ddot``
+    for contiguous doubles).  A stack of ``(1, n) @ (n, 1)`` products takes
+    the same scalar-output branch of ``matmul`` for each stacked pair, so
+    every pair reaches the same kernel with the same length, strides and
+    values.  (A row-wise ``einsum`` or ``sum`` would reorder the
+    additions.)  The sign of the difference is free: negation is exact,
+    so ``(-d) * (-d)`` and ``d * d`` are the same products.
+    """
+    difference = rows[:, None, :] - others
+    return (difference[..., None, :] @ difference[..., :, None])[..., 0, 0]
+
+
 class CountsEvaluator:
     """True-objective evaluation from group counts on unique columns.
 
     Replaces the reference's per-candidate rebuild (gather ``Review``
-    objects, re-walk their mentions) with two mat-vecs on the block's
-    precomputed unique columns.  Binary / 3-polarity counts are exact
-    integers, so the mat-vec totals are bit-identical to the review walk;
-    the unary scheme re-accumulates raw signed strengths in selection
-    order to preserve the reference's floating-point summation order.
+    objects, re-walk their mentions) with a GEMM per candidate batch on
+    the block's precomputed unique columns.  Binary / 3-polarity counts
+    and incidences are small integers, so every GEMM total is an exact
+    integer under any summation order and equals the review walk bit for
+    bit; the max-normalisation and the differences are elementwise; and
+    :func:`_row_distances` reduces each pair with the kernel
+    :func:`~repro.core.distance.squared_l2` uses.  Sums of distances keep
+    the reference's left-to-right order (``np.cumsum`` is a sequential
+    accumulation).  The unary scheme re-accumulates raw signed strengths
+    in selection order, one candidate at a time, to preserve the
+    reference's floating-point summation order.
     """
 
-    __slots__ = ("artifacts", "block", "tau", "gamma", "lam", "unary")
+    __slots__ = ("artifacts", "block", "tau", "aspect_targets", "lam", "unary")
 
     def __init__(
         self,
@@ -1237,27 +1284,42 @@ class CountsEvaluator:
         tau: np.ndarray,
         gamma: np.ndarray,
         lam: float,
+        other_phis: Sequence[np.ndarray] = (),
     ) -> None:
         self.artifacts = artifacts
         self.block = block
-        self.tau = tau
-        self.gamma = gamma
+        self.tau = np.asarray(tau, dtype=float)[None, :]
+        # Row 0 is Gamma, then the other items' phis (Algorithm 1's
+        # pairwise terms), so one stacked product scores every aspect term.
+        self.aspect_targets = np.array([gamma, *other_phis], dtype=float)
         self.lam = float(lam)
         self.unary = artifacts.space.scheme is OpinionScheme.UNARY_SCALE
 
     def vectors(
-        self, counts: np.ndarray, selection: tuple[int, ...]
+        self,
+        counts: np.ndarray,
+        selections: Sequence[tuple[int, ...]] | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(pi, phi) of the selection, matching :class:`VectorSpace` exactly."""
+        """(pi, phi) rows of each candidate, matching :class:`VectorSpace`.
+
+        ``counts`` is a ``(k, q)`` matrix of group counts.  The unary
+        scheme also reads the candidates' original columns: ``selections``,
+        where a missing list or a ``None`` entry means the row's
+        ``counts_to_selection``.  A zero maximum divides by 1.0, which is
+        exact.
+        """
         weights = np.asarray(counts, dtype=float)
-        aspect_counts = self.block.unique_aspect @ weights
-        maximum = float(aspect_counts.max()) if aspect_counts.size else 0.0
-        phi = aspect_counts if maximum == 0.0 else aspect_counts / maximum
-        if self.unary:
-            pi = self._unary_pi(selection, aspect_counts)
-        else:
-            opinion_counts = self.block.unique_opinion @ weights
-            pi = opinion_counts if maximum == 0.0 else opinion_counts / maximum
+        aspect_counts = weights @ self.block.unique_aspect.T
+        # Aspect counts are whole numbers, so a zero maximum becomes 1.0.
+        maxima = aspect_counts.max(axis=1, initial=1.0)[:, None]
+        phi = aspect_counts / maxima
+        if not self.unary:
+            return (weights @ self.block.unique_opinion.T) / maxima, phi
+        pi = np.zeros((len(weights), self.tau.shape[1]))
+        for row, selection in enumerate(selections or [None] * len(weights)):
+            if selection is None:
+                selection = counts_to_selection(counts[row], self.block.groups)
+            pi[row] = self._unary_pi(selection, aspect_counts[row])
         return pi, phi
 
     def _unary_pi(
@@ -1272,26 +1334,47 @@ class CountsEvaluator:
         pi[mentioned] = _sigmoid(totals[mentioned])
         return pi
 
-    def item_value(self, counts: np.ndarray, selection: tuple[int, ...]) -> float:
-        """Eq.-3 contribution — mirrors :func:`~repro.core.objective.item_objective`."""
-        pi, phi = self.vectors(counts, selection)
-        return squared_l2(self.tau, pi) + self.lam**2 * squared_l2(self.gamma, phi)
-
-    def plus_value(
+    def item_values(
         self,
         counts: np.ndarray,
-        selection: tuple[int, ...],
-        other_phis: Sequence[np.ndarray],
+        selections: Sequence[tuple[int, ...]] | None = None,
+    ) -> np.ndarray:
+        """Eq.-3 contributions — mirror :func:`~repro.core.objective.item_objective`."""
+        pi, phi = self.vectors(counts, selections)
+        return _row_distances(pi, self.tau)[:, 0] + self.lam**2 * (
+            _row_distances(phi, self.aspect_targets[:1])[:, 0]
+        )
+
+    def plus_values(
+        self,
+        counts: np.ndarray,
+        selections: Sequence[tuple[int, ...]] | None,
         mu: float,
         literal: bool,
-    ) -> float:
-        """Algorithm-1 acceptance score — mirrors ``_item_plus_objective``."""
-        pi, phi = self.vectors(counts, selection)
-        pairwise = sum(squared_l2(phi, other) for other in other_phis)
+    ) -> np.ndarray:
+        """Algorithm-1 acceptance scores — mirror ``_item_plus_objective``."""
+        pi, phi = self.vectors(counts, selections)
+        opinion = _row_distances(pi, self.tau)[:, 0]
+        aspect = _row_distances(phi, self.aspect_targets)
+        # Python's sum() starts from 0 and adds left to right; 0 + d == d.
+        pairwise = (
+            np.cumsum(aspect[:, 1:], axis=1)[:, -1]
+            if aspect.shape[1] > 1
+            else np.zeros(len(aspect))
+        )
         if literal:
-            return squared_l2(self.tau, pi) + squared_l2(self.gamma, phi) + pairwise
-        base = squared_l2(self.tau, pi) + self.lam**2 * squared_l2(self.gamma, phi)
-        return base + mu**2 * pairwise
+            return opinion + aspect[:, 0] + pairwise
+        return (opinion + self.lam**2 * aspect[:, 0]) + mu**2 * pairwise
+
+    def item_value(self, counts: np.ndarray, selection: tuple[int, ...]) -> float:
+        """:meth:`item_values` for one candidate."""
+        return float(self.item_values(np.asarray(counts)[None, :], [selection])[0])
+
+
+#: Scores a ``(k, q)`` matrix of candidate group counts in one call; the
+#: optional selections name their original columns (see
+#: :meth:`CountsEvaluator.vectors`).
+BatchEvaluate = Callable[[np.ndarray, Sequence[tuple[int, ...]] | None], np.ndarray]
 
 
 def _run_regression(
@@ -1299,13 +1382,17 @@ def _run_regression(
     sync_blocks: int,
     target: np.ndarray,
     max_reviews: int,
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
+    evaluate: BatchEvaluate,
     timer: StageTimer,
-    allow_empty: bool = False,
     exact: bool = True,
     screen: str = "off",
-) -> RegressionSelection:
+    also: tuple[int, ...] | None = None,
+) -> tuple[RegressionSelection, float | None]:
     """The kernel's Integer-Regression driver.
+
+    Returns the selection and, when ``also`` names a selection, its
+    objective, scored in the same evaluator call as the candidates
+    (:func:`_path_selections`).
 
     Mirrors :func:`~repro.core.integer_regression.integer_regression_select`
     candidate for candidate: the same discrete rounding, the same strict
@@ -1341,103 +1428,81 @@ def _run_regression(
             path = batch_omp_path(
                 gram, b, max_reviews, stacked, target, exact=exact
             )
-    return _path_to_selection(
-        block, path, max_reviews, evaluate, timer, allow_empty=allow_empty
+    selections, also_objective = _path_selections(
+        block, path, [max_reviews], evaluate, timer, also
     )
+    return selections[max_reviews], also_objective
 
 
-def _path_to_selection(
-    block: GramBlock,
-    path: Sequence[np.ndarray],
-    max_reviews: int,
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
-    timer: StageTimer,
-    allow_empty: bool = False,
-) -> RegressionSelection:
-    """Discrete rounding + candidate argmin over one pursuit path.
-
-    Shared verbatim between the single-problem drivers and the batched
-    entry points, so both stay candidate-for-candidate identical to the
-    reference's rounding stage.
-    """
-    capacities = block.capacities
-    best: RegressionSelection | None = None
-    if allow_empty:
-        with timer.stage("evaluate"):
-            empty_value = evaluate(np.zeros(block.num_groups, dtype=int), ())
-        best = RegressionSelection(selected=(), objective=empty_value)
-    seen: set[tuple[int, ...]] = {()}
-    for x in path:
-        with timer.stage("round"):
-            counts = round_to_counts(x, capacities, max_reviews)
-            selection = counts_to_selection(counts, block.groups)
-        if selection in seen:
-            continue
-        seen.add(selection)
-        with timer.stage("evaluate"):
-            objective = evaluate(counts, selection)
-        if best is None or objective < best.objective - 1e-12:
-            best = RegressionSelection(selected=selection, objective=objective)
-    if best is None:
-        with timer.stage("evaluate"):
-            empty_value = evaluate(np.zeros(block.num_groups, dtype=int), ())
-        best = RegressionSelection(selected=(), objective=empty_value)
-    return best
-
-
-def _shared_path_selections(
+def _path_selections(
     block: GramBlock,
     path: Sequence[np.ndarray],
     budgets: Sequence[int],
-    evaluate: Callable[[np.ndarray, tuple[int, ...]], float],
+    evaluate: BatchEvaluate,
     timer: StageTimer,
-) -> dict[int, RegressionSelection]:
-    """Rounding + evaluation for many budgets over one shared pursuit path.
+    also: tuple[int, ...] | None = None,
+) -> tuple[dict[int, RegressionSelection], float | None]:
+    """Discrete rounding + candidate argmin over one pursuit path, per budget.
 
-    Requests whose pursuits dedup onto one leader path differ only in
-    where the path is cut and which totals the rounding may use — both
-    prefix views of the same per-step apportionment table
-    (:func:`round_to_counts_table` rows never depend on the budget).  The
-    table is built once at the largest budget, each budget replays
-    :func:`_path_to_selection`'s exact scan over its prefix, and the
-    budget-independent evaluator is memoised per selection, so a 16-way
-    burst pays for one rounding pass instead of sixteen.
+    Budget ``m`` scans the first ``m`` path steps; each step's candidate
+    is the winning apportionment among totals ``1..m``
+    (:func:`~repro.core.integer_regression.prefix_winners`), repeats and
+    empty candidates are skipped, and the first strict 1e-12 improvement
+    wins — candidate for candidate the reference's rounding stage.  The
+    apportionment table is built once at the largest budget (its rows
+    never depend on the budget), and every distinct candidate of every
+    budget is scored in one evaluator call, so requests whose pursuits
+    dedup onto one leader path pay for one rounding pass and one
+    evaluation batch.  Equal group counts mean equal selections
+    (``counts_to_selection`` is injective within capacity), so candidates
+    are deduplicated by their counts.  ``also`` (a selection of original
+    columns, such as Algorithm 1's current one) joins that call; its
+    objective comes back second, ``None`` without ``also``.
     """
-    capacities = block.capacities
     largest = max(budgets)
-    with timer.stage("round"):
-        tables = [
-            round_to_counts_table(x, capacities, largest) for x in path[:largest]
-        ]
-    objective_of: dict[tuple[int, ...], float] = {}
-
-    def evaluate_once(counts: np.ndarray, selection: tuple[int, ...]) -> float:
-        objective = objective_of.get(selection)
-        if objective is None:
-            with timer.stage("evaluate"):
-                objective = evaluate(counts, selection)
-            objective_of[selection] = objective
-        return objective
-
-    results: dict[int, RegressionSelection] = {}
+    began = time.perf_counter()
+    counts, gaps = apportion_path(path[:largest], block.capacities, largest)
+    winners = prefix_winners(gaps)
+    index_of: dict[bytes, int] = {}
+    rows: list[np.ndarray] = []
+    scans: dict[int, list[int]] = {}
     for budget in sorted(set(budgets)):
-        best: RegressionSelection | None = None
-        seen: set[tuple[int, ...]] = {()}
-        for table in tables[:budget]:
-            with timer.stage("round"):
-                counts = best_counts_in_table(table, budget, block.num_groups)
-                selection = counts_to_selection(counts, block.groups)
-            if selection in seen:
+        scan: list[int] = []
+        for step in range(min(budget, len(counts))):
+            total = winners[step][budget - 1]
+            if total < 0:
                 continue
-            seen.add(selection)
-            objective = evaluate_once(counts, selection)
-            if best is None or objective < best.objective - 1e-12:
-                best = RegressionSelection(selected=selection, objective=objective)
-        if best is None:
-            empty_value = evaluate_once(np.zeros(block.num_groups, dtype=int), ())
-            best = RegressionSelection(selected=(), objective=empty_value)
-        results[budget] = best
-    return results
+            row = counts[step, total]
+            candidate = index_of.setdefault(row.tobytes(), len(rows))
+            if candidate == len(rows):
+                rows.append(row)
+            if candidate not in scan:
+                scan.append(candidate)
+        scans[budget] = scan
+    if not all(scans.values()):
+        # Some budget has no candidate and falls back to the empty set.
+        rows.append(np.zeros(block.num_groups, dtype=int))
+    selections = None
+    if also is not None:
+        selections = [None] * len(rows) + [also]
+        rows.append(block.counts_for(also))
+    began = timer.lap("round", began)
+    objectives = evaluate(np.array(rows), selections).tolist()
+    also_objective = objectives.pop() if also is not None else None
+    began = timer.lap("evaluate", began)
+    results: dict[int, RegressionSelection] = {}
+    for budget, scan in scans.items():
+        best, best_objective = -1, np.inf
+        for candidate in scan:
+            if best < 0 or objectives[candidate] < best_objective - 1e-12:
+                best, best_objective = candidate, objectives[candidate]
+        if best < 0:
+            results[budget] = RegressionSelection(selected=(), objective=objectives[-1])
+        else:
+            selected = counts_to_selection(rows[best], block.groups)
+            results[budget] = RegressionSelection(selected, best_objective)
+    timer.lap("round", began)
+    return results, also_objective
 
 
 def solve_item(
@@ -1458,9 +1523,9 @@ def solve_item(
     def compute() -> RegressionSelection:
         evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
         return _run_regression(
-            block, 0, target, config.max_reviews, evaluator.item_value, timer,
+            block, 0, target, config.max_reviews, evaluator.item_values, timer,
             exact=exact, screen=artifacts.screen,
-        )
+        )[0]
 
     return artifacts.cached_solve(key, compute)
 
@@ -1500,10 +1565,14 @@ def solve_plus_item(
     for phi in other_phis:
         target_parts.append((phi_scale, phi))
     target = concat_scaled(*target_parts)
-    evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
+    evaluator = CountsEvaluator(
+        artifacts, block, tau, gamma, config.lam, other_phis
+    )
 
-    def evaluate(counts: np.ndarray, selection: tuple[int, ...]) -> float:
-        return evaluator.plus_value(counts, selection, other_phis, config.mu, literal)
+    def evaluate(
+        counts: np.ndarray, selections: Sequence[tuple[int, ...]] | None
+    ) -> np.ndarray:
+        return evaluator.plus_values(counts, selections, config.mu, literal)
 
     # The target blocks (with mu / literal in the key) pin down the other
     # items' phis, so the memo key fully determines the candidate solve.
@@ -1511,15 +1580,25 @@ def solve_plus_item(
         "plus", sync_blocks, config.max_reviews, config.mu, literal, exact,
         target.tobytes(),
     )
-    candidate = artifacts.cached_solve(
-        key,
-        lambda: _run_regression(
+    current_objective: float | None = None
+
+    def compute() -> RegressionSelection:
+        # A fresh solve scores ``current`` alongside its candidates.
+        nonlocal current_objective
+        selection, current_objective = _run_regression(
             block, sync_blocks, target, config.max_reviews, evaluate, timer,
-            exact=exact, screen=artifacts.screen,
-        ),
-    )
-    with timer.stage("evaluate"):
-        current_objective = evaluate(block.counts_for(current), current)
+            exact=exact, screen=artifacts.screen, also=current,
+        )
+        return selection
+
+    candidate = artifacts.cached_solve(key, compute)
+    if candidate.selected == current:
+        return current  # either branch below would return this selection
+    if current_objective is None:
+        with timer.stage("evaluate"):
+            current_objective = float(
+                evaluate(block.counts_for(current)[None, :], [current])[0]
+            )
     if candidate.objective < current_objective - 1e-12:
         return candidate.selected
     return current
@@ -1588,8 +1667,8 @@ def solve_item_many(
         leader = members[int(np.argmax(budgets_of))]
         tau, gamma, config = misses[leader][3]
         evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
-        by_budget = _shared_path_selections(
-            block, paths[leader], budgets_of, evaluator.item_value, timer
+        by_budget, _ = _path_selections(
+            block, paths[leader], budgets_of, evaluator.item_values, timer
         )
         for position, budget in zip(members, budgets_of):
             index, key = misses[position][0], misses[position][1]
@@ -1637,23 +1716,26 @@ def solve_plus_item_many(
             "plus", sync_blocks, config.max_reviews, config.mu, literal, exact,
             target.tobytes(),
         )
-        evaluator = CountsEvaluator(artifacts, block, tau, gamma, config.lam)
+        evaluator = CountsEvaluator(
+            artifacts, block, tau, gamma, config.lam, other_phis
+        )
 
         def evaluate(
             counts: np.ndarray,
-            selection: tuple[int, ...],
+            selections: Sequence[tuple[int, ...]] | None,
             *,
             _evaluator: CountsEvaluator = evaluator,
-            _phis: Sequence[np.ndarray] = other_phis,
             _mu: float = config.mu,
             _literal: bool = literal,
-        ) -> float:
-            return _evaluator.plus_value(counts, selection, _phis, _mu, _literal)
+        ) -> np.ndarray:
+            return _evaluator.plus_values(counts, selections, _mu, _literal)
 
         candidate = artifacts.peek(key)
+        # The last slot takes current's objective when a fresh solve
+        # scores it alongside the candidates.
         entries.append(
             [index, block, sync_blocks, target, config, current, evaluate, key,
-             candidate]
+             candidate, None]
         )
         if candidate is None:
             grouped.setdefault((id(block), sync_blocks), []).append(len(entries) - 1)
@@ -1664,13 +1746,15 @@ def solve_plus_item_many(
         if _screen_active(artifacts.screen, block.num_groups, exact):
             for position in group:
                 entry = entries[position]
-                entry[8] = artifacts.cached_solve(
-                    entry[7],
-                    lambda e=entry: _run_regression(
+
+                def compute(e: list = entry) -> RegressionSelection:
+                    selection, e[9] = _run_regression(
                         e[1], e[2], e[3], e[4].max_reviews, e[6], timer,
-                        exact=exact, screen=artifacts.screen,
-                    ),
-                )
+                        exact=exact, screen=artifacts.screen, also=e[5],
+                    )
+                    return selection
+
+                entry[8] = artifacts.cached_solve(entry[7], compute)
             continue
         with timer.stage("gram"):
             gram = block.gram(sync_blocks)
@@ -1687,15 +1771,25 @@ def solve_plus_item_many(
             )
         for position, path in zip(group, paths):
             entry = entries[position]
-            selection = _path_to_selection(
-                block, path, entry[4].max_reviews, entry[6], timer
+            budget = entry[4].max_reviews
+            by_budget, entry[9] = _path_selections(
+                block, path, [budget], entry[6], timer, also=entry[5]
             )
-            entry[8] = artifacts.cached_solve(entry[7], lambda s=selection: s)
+            entry[8] = artifacts.cached_solve(
+                entry[7], lambda s=by_budget[budget]: s
+            )
 
     results: list[tuple[int, ...]] = [() for _ in jobs]
-    for index, block, _, _, _, current, evaluate, _, candidate in entries:
-        with timer.stage("evaluate"):
-            current_objective = evaluate(block.counts_for(current), current)
+    for index, block, _, _, _, current, evaluate, _, candidate, scored in entries:
+        if candidate.selected == current:
+            results[index] = current
+            continue
+        current_objective = scored
+        if current_objective is None:
+            with timer.stage("evaluate"):
+                current_objective = float(
+                    evaluate(block.counts_for(current)[None, :], [current])[0]
+                )
         if candidate.objective < current_objective - 1e-12:
             results[index] = candidate.selected
         else:

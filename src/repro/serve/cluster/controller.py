@@ -44,6 +44,7 @@ gain ranges are replaced by new-generation workers built the same way.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,6 +61,8 @@ from repro.serve.cluster.worker import shard_child_main
 from repro.serve.jitter import RetryJitter
 from repro.serve.supervisor import RestartPolicy, Supervisor
 from repro.serve.wal import WriteAheadLog
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -280,14 +283,18 @@ class ServingCluster:
 
             async def _shutdown() -> None:
                 server.close()
-                await server.wait_closed()
+                # Open keep-alive connections first: the server's
+                # wait_closed() may wait for them to end.
                 if gateway is not None:
                     await gateway.aclose()
+                await server.wait_closed()
 
             try:
                 asyncio.run_coroutine_threadsafe(_shutdown(), loop).result(10.0)
             except Exception:
-                pass
+                # The shards and files below still get released; the
+                # failure is reported, not swallowed.
+                logger.exception("cluster gateway shutdown failed")
             self._server = None
         if loop is not None:
             loop.call_soon_threadsafe(loop.stop)

@@ -53,7 +53,6 @@ and operators restart with the new corpus instead.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -71,7 +70,7 @@ from repro.serve.cluster.proto import (
 )
 from repro.serve.cluster.ring import HashRing, PartitionPlan
 from repro.serve.engine import InvalidRequest
-from repro.serve.http import BadRequest, encode_json, parse_request
+from repro.serve.http import BadRequest, encode_json, parse_json_body, parse_request
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.store import UnviableTargetError
 from repro.serve.wal import WriteAheadLog, review_from_record
@@ -84,6 +83,10 @@ _SHARD_TIMEOUT_MARGIN = 5.0
 
 _MAX_HEADER_LINES = 100
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: How long :meth:`ClusterGateway.aclose` lets a connection that is
+#: mid-request finish before cancelling it.
+_CLOSE_GRACE_S = 5.0
 
 #: Stripe count for the per-product ingest ordering locks.  Two
 #: products hashing to the same stripe serialise their deltas — a
@@ -329,6 +332,9 @@ class ClusterGateway:
         self.shard_alive = shard_alive
         self.hint_drain_interval = hint_drain_interval
         self._drain_task: asyncio.Task | None = None
+        # Live client connections (task -> writer), closed by aclose() so
+        # none outlives the event loop.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._ingest_stalled = False
         self._stall_reason = "resizing"
         # In-flight ingest accounting: stall_ingest_and_drain() waits on
@@ -1226,6 +1232,8 @@ class ClusterGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One client connection: HTTP/1.1 with keep-alive."""
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 parsed = await _read_http_request(reader)
@@ -1262,6 +1270,7 @@ class ClusterGateway:
         except OSError:
             pass
         finally:
+            self._connections.pop(task, None)
             writer.close()
 
     async def start(self, host: str, port: int) -> asyncio.base_events.Server:
@@ -1274,6 +1283,17 @@ class ClusterGateway:
         return server
 
     async def aclose(self) -> None:
+        """Close every client connection, stop the hint drain, and close
+        the shard clients."""
+        connections = dict(self._connections)
+        for writer in connections.values():
+            # An idle keep-alive connection then reads EOF and returns.
+            writer.close()
+        if connections:
+            _, stuck = await asyncio.wait(connections, timeout=_CLOSE_GRACE_S)
+            for task in stuck:
+                task.cancel()
+            await asyncio.gather(*stuck, return_exceptions=True)
         if self._drain_task is not None:
             self._drain_task.cancel()
             try:
@@ -1302,12 +1322,9 @@ def _parse_deadline(headers: dict[str, str]) -> float | None:
 
 def _parse_body(body_bytes: bytes) -> dict:
     try:
-        body = json.loads(body_bytes or b"{}")
-    except json.JSONDecodeError as exc:
-        raise _HTTPError(400, f"invalid JSON body: {exc}") from None
-    if not isinstance(body, dict):
-        raise _HTTPError(400, "request body must be a JSON object")
-    return body
+        return parse_json_body(body_bytes)
+    except BadRequest as exc:
+        raise _HTTPError(400, str(exc)) from None
 
 
 async def _read_http_request(

@@ -26,6 +26,7 @@ as the HTTP server uses it; no sockets are involved until
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Mapping, Sequence
@@ -105,6 +106,8 @@ class SelectRequest:
         """Raise :class:`InvalidRequest` on semantic errors."""
         if self.m < 1:
             raise InvalidRequest(f"m must be >= 1, got {self.m}")
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise InvalidRequest("lam and mu must be finite")
         if self.lam < 0 or self.mu < 0:
             raise InvalidRequest("lam and mu must be >= 0")
         if self.scheme not in _SCHEMES:
@@ -149,8 +152,10 @@ class NarrowRequest(SelectRequest):
         SelectRequest.validated(self)
         if self.k < 1:
             raise InvalidRequest(f"k must be >= 1, got {self.k}")
-        if self.time_limit <= 0:
-            raise InvalidRequest(f"time_limit must be positive, got {self.time_limit}")
+        if not 0 < self.time_limit < math.inf:
+            raise InvalidRequest(
+                f"time_limit must be positive and finite, got {self.time_limit}"
+            )
         if not self.stages:
             raise InvalidRequest("stages must not be empty")
         return self

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -11,6 +16,24 @@ def corpus_file(tmp_path):
     assert main(["generate", "--category", "Toy", "--scale", "0.25",
                  "--seed", "3", "--out", str(path)]) == 0
     return path
+
+
+def test_serving_import_path_leaves_out_offline_modules():
+    """`import repro.cli` (what every server process runs) loads neither
+    the evaluation stack nor scipy.stats; the experiment subcommand
+    imports them itself."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy.stats' or m.startswith(('scipy.stats.', 'repro.eval'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestParser:

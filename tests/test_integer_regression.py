@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.integer_regression import (
+    apportion_path,
     counts_to_selection,
     deduplicate_columns,
     integer_regression_select,
     largest_remainder_round,
     nomp,
     nomp_path,
+    prefix_winners,
     round_to_counts,
 )
 
@@ -260,6 +262,127 @@ class TestRoundToCounts:
         assert (counts >= 0).all()
         assert (counts <= capacities).all()
         assert counts.sum() <= max_total
+
+
+def _loop_table(x, capacities, max_total):
+    """The per-total round-robin apportionment, one row at a time.
+
+    Test-only reference for :func:`apportion_path`: entry ``s - 1`` is
+    ``(counts, gap)`` for total ``s``, or ``None`` for an empty allocation.
+    """
+    x = np.asarray(x, dtype=float)
+    mass = float(np.abs(x).sum())
+    if mass == 0.0 or max_total <= 0:
+        return [None] * max(max_total, 0)
+    normalised = x / mass
+    table = []
+    for s in range(1, max_total + 1):
+        ideal = np.maximum(s * normalised, 0.0)
+        counts = np.minimum(np.floor(ideal + 1e-12), capacities).astype(int)
+        slack = (capacities - counts).astype(int)
+        remaining = min(s - int(counts.sum()), int(slack.sum()))
+        order = np.argsort(counts - ideal, kind="stable")
+        while remaining > 0:
+            progressed = False
+            for index in order:
+                if remaining == 0:
+                    break
+                if slack[index] > 0:
+                    counts[index] += 1
+                    slack[index] -= 1
+                    remaining -= 1
+                    progressed = True
+            if not progressed:
+                break
+        count_sum = int(counts.sum())
+        if count_sum == 0:
+            table.append(None)
+        else:
+            table.append((counts, float(np.abs(counts / count_sum - normalised).sum())))
+    return table
+
+
+@st.composite
+def _sparse_paths(draw):
+    """Pursuit-like paths: few non-zeros per step, small capacities (so
+    they bind and units spill), some all-zero steps, some integral ideals."""
+    groups = draw(st.integers(1, 24))
+    steps = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(steps):
+        row = np.zeros(groups)
+        for index in draw(st.lists(st.integers(0, groups - 1), max_size=4)):
+            row[index] = draw(
+                st.one_of(
+                    st.floats(1e-6, 3.0, allow_nan=False),
+                    st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                )
+            )
+        rows.append(row)
+    capacities = np.array(
+        draw(st.lists(st.integers(1, 3), min_size=groups, max_size=groups))
+    )
+    return np.array(rows), capacities, draw(st.integers(1, 8))
+
+
+class TestApportionPath:
+    """The rank-mask apportionment against the per-row loop reference."""
+
+    @given(_sparse_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_reference(self, case):
+        path, capacities, max_total = case
+        counts, gaps = apportion_path(path, capacities, max_total)
+        for step, x in enumerate(path):
+            for row, entry in enumerate(_loop_table(x, capacities, max_total)):
+                if entry is None:
+                    assert gaps[step, row] == np.inf
+                else:
+                    np.testing.assert_array_equal(counts[step, row], entry[0])
+                    assert gaps[step, row] == entry[1]
+
+    @given(
+        st.lists(st.floats(0, 2, allow_nan=False), min_size=1, max_size=40),
+        st.integers(1, 12),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dense_rows_match_loop_reference(self, values, max_total, cap):
+        x = np.array(values)
+        capacities = np.full(len(x), cap)
+        counts, gaps = apportion_path(x[None, :], capacities, max_total)
+        for row, entry in enumerate(_loop_table(x, capacities, max_total)):
+            if entry is None:
+                assert gaps[0, row] == np.inf
+            else:
+                np.testing.assert_array_equal(counts[0, row], entry[0])
+                assert gaps[0, row] == entry[1]
+
+    def test_binding_capacity_and_zero_mass_rows(self):
+        path = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        capacities = np.array([1, 1, 2])
+        counts, gaps = apportion_path(path, capacities, 4)
+        assert np.isinf(gaps[0]).all()  # no mass: no allocation
+        # One unit fits column 0; the rest spills in index order and binds.
+        np.testing.assert_array_equal(counts[1, 3], [1, 1, 2])
+        np.testing.assert_array_equal(counts[2, 1], [1, 1, 0])
+        for step, x in enumerate(path):
+            for row, entry in enumerate(_loop_table(x, capacities, 4)):
+                if entry is not None:
+                    np.testing.assert_array_equal(counts[step, row], entry[0])
+        # No capacity anywhere: every total is empty, as in the loop.
+        _, none = apportion_path(path, np.zeros(3, dtype=int), 2)
+        assert np.isinf(none).all()
+
+    def test_prefix_winners_follow_the_strict_tolerance_rule(self):
+        gaps = np.array([[1.0, 1.0 - 0.5e-12, 1.0 - 1e-12, np.inf, 0.5]])
+        # Equal gaps and sub-tolerance gains never displace the earlier total.
+        assert prefix_winners(gaps) == [[0, 0, 0, 0, 4]]
+        assert prefix_winners(np.full((1, 2), np.inf)) == [[-1, -1]]
+
+    def test_negative_ideals_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            apportion_path(np.array([[1.0, -0.5]]), np.array([2, 2]), 3)
 
 
 class TestCountsToSelection:

@@ -15,16 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compare_sets import CompareSetsSelector, select_for_item
-from repro.core.compare_sets_plus import CompareSetsPlusSelector
-from repro.core.integer_regression import deduplicate_columns, nomp_path
+from repro.core.compare_sets_plus import CompareSetsPlusSelector, _item_plus_objective
+from repro.core.integer_regression import (
+    counts_to_selection,
+    deduplicate_columns,
+    nomp_path,
+)
 from repro.core.objective import item_objective
 from repro.core.omp_kernel import (
+    _PLUS_BLOCK_LIMIT,
     STAGES,
     CountsEvaluator,
     SolverArtifacts,
     StageTimer,
     batch_omp_path,
     solve_item,
+    solve_plus_item,
 )
 from repro.core.problem import SelectionConfig
 from repro.core.selection import build_space
@@ -264,6 +270,33 @@ class TestSolverArtifacts:
         assert artifacts.plus_block(0.1) is block
         assert artifacts.plus_block(0.5) is not block
 
+    def test_plus_blocks_are_bounded_lru(self):
+        """A stream of distinct mu keeps at most _PLUS_BLOCK_LIMIT blocks,
+        and an evicted mu's rebuilt block solves byte-identically."""
+        space, reviews, tau, gamma, config = self._item(seed=5)
+        artifacts = SolverArtifacts(space, reviews, config.lam)
+        other = [gamma * 0.5]
+        mus = [0.05 * (index + 1) for index in range(3 * _PLUS_BLOCK_LIMIT)]
+        first = {}
+        for mu in mus:
+            first[mu] = solve_plus_item(
+                artifacts, tau, gamma, other, config.with_(mu=mu), (), False
+            )
+            assert len(artifacts._plus) <= _PLUS_BLOCK_LIMIT
+        assert list(artifacts._plus) == mus[-_PLUS_BLOCK_LIMIT:]
+        artifacts.clear_solve_cache()
+        for mu in mus:
+            fresh = SolverArtifacts(space, reviews, config.lam)
+            assert solve_plus_item(
+                artifacts, tau, gamma, other, config.with_(mu=mu), (), False
+            ) == first[mu] == solve_plus_item(
+                fresh, tau, gamma, other, config.with_(mu=mu), (), False
+            )
+        # A hit refreshes recency: the reused mu survives the next insert.
+        artifacts.plus_block(mus[-_PLUS_BLOCK_LIMIT])
+        artifacts.plus_block(99.0)
+        assert mus[-_PLUS_BLOCK_LIMIT] in artifacts._plus
+
     def test_select_for_item_rejects_foreign_artifacts(self):
         space, reviews, tau, gamma, config = self._item(seed=1)
         other_space, other_reviews, *_ = self._item(seed=2)
@@ -290,6 +323,55 @@ class TestSolverArtifacts:
                     space, [reviews[j] for j in selection], tau, gamma, config.lam
                 )
                 assert evaluator.item_value(counts, selection) == expected
+
+
+class TestBatchedEvaluator:
+    """One batched call scores every candidate exactly as the reference
+    objectives score each candidate alone."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(OpinionScheme)))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_per_candidate_reference(self, seed, scheme):
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng, num_items=3, max_reviews=10, duplicate_heavy=True)
+        config = SelectionConfig(max_reviews=4, lam=0.7, mu=0.3, scheme=scheme)
+        space = build_space(instance, config)
+        reviews = instance.reviews[0]
+        tau = space.opinion_vector(reviews)
+        gamma = space.aspect_vector(reviews)
+        other_phis = [
+            space.aspect_vector(other[: int(rng.integers(0, len(other) + 1))])
+            for other in instance.reviews[1:]
+        ]
+        artifacts = SolverArtifacts(space, reviews, config.lam)
+        for block, phis in (
+            (artifacts.base_block(), []),
+            (artifacts.plus_block(config.mu), other_phis),
+        ):
+            counts = np.array(
+                [
+                    [int(rng.integers(0, cap + 1)) for cap in block.capacities]
+                    for _ in range(int(rng.integers(1, 7)))
+                ]
+            )
+            selections = [counts_to_selection(row, block.groups) for row in counts]
+            evaluator = CountsEvaluator(
+                artifacts, block, tau, gamma, config.lam, phis
+            )
+            items = evaluator.item_values(counts)
+            for literal in (False, True):
+                plus = evaluator.plus_values(counts, None, config.mu, literal)
+                for row, selection in enumerate(selections):
+                    chosen = [reviews[j] for j in selection]
+                    assert plus[row] == _item_plus_objective(
+                        space, chosen, tau, gamma, phis, config, literal
+                    )
+            for row, selection in enumerate(selections):
+                chosen = [reviews[j] for j in selection]
+                assert items[row] == item_objective(
+                    space, chosen, tau, gamma, config.lam
+                )
+                assert evaluator.item_value(counts[row], selection) == items[row]
 
 
 class TestStageTimings:

@@ -10,11 +10,16 @@ shard into 503 + Retry-After for that shard's targets only.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import logging
+import socket
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -51,6 +56,15 @@ def _post(base: str, path: str, body: dict, timeout: float = 120.0):
         data=json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
     )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+def _post_raw(base: str, path: str, raw: bytes, timeout: float = 60.0):
+    request = urllib.request.Request(base + path, data=raw, method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.status, json.loads(response.read())
@@ -154,6 +168,23 @@ class TestByteIdentity:
             cluster_status, cluster_body = _post(cluster.base_url, path, body)
             assert single_status == cluster_status, (path, body)
             assert single_body["error"] == cluster_body["error"], (path, body)
+
+
+    def test_non_finite_numbers_match_single_process(self, cluster, single_base):
+        """NaN/Infinity literals are 400 at either edge; a number that
+        overflows to infinity is a 422 from validation."""
+        for raw, status in (
+            (b'{"m": 3, "mu": NaN}', 400),
+            (b'{"lam": Infinity}', 400),
+            (b'{"mu": 1e999}', 422),
+        ):
+            for path in ("/v1/select", "/v1/narrow"):
+                single_status, single_body = _post_raw(single_base, path, raw)
+                cluster_status, cluster_body = _post_raw(
+                    cluster.base_url, path, raw
+                )
+                assert single_status == cluster_status == status, (path, raw)
+                assert single_body["error"] == cluster_body["error"], (path, raw)
 
 
 class TestGatewayEndpoints:
@@ -550,3 +581,35 @@ class TestIngestOrderingAndStall:
                 await server.wait_closed()
 
         asyncio.run(scenario())
+
+
+class TestShutdown:
+    def test_stop_with_open_keep_alive_connection_is_clean(
+        self, corpus_path, tmp_path, monkeypatch, caplog
+    ):
+        """stop() closes client connections before the loop goes away:
+        no "Event loop is closed", no pending task destroyed."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        config = ClusterConfig(
+            corpus_path=corpus_path, shards=1, state_dir=tmp_path / "state"
+        )
+        cluster = ServingCluster(config).start()
+        client = socket.create_connection(cluster._bound, timeout=30)
+        try:
+            client.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            assert client.recv(65536).startswith(b"HTTP/1.1 200")
+            gc.collect()  # earlier tests' garbage must not count below
+            with caplog.at_level(logging.WARNING), warnings.catch_warnings(
+                record=True
+            ) as caught:
+                warnings.simplefilter("always")
+                cluster.stop()
+                gc.collect()
+        finally:
+            client.close()
+        assert unraisable == []
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert not [
+            r for r in caplog.records if r.levelno >= logging.WARNING
+        ], [r.getMessage() for r in caplog.records]

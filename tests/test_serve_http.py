@@ -7,8 +7,10 @@ exercises minus the argv parsing.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
+import types
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -22,7 +24,7 @@ from repro.data.io import save_corpus
 from repro.data.synthetic import generate_corpus
 from repro.serve.admission import AdmissionController
 from repro.serve.engine import SelectionEngine, selection_payload
-from repro.serve.http import encode_json, make_server
+from repro.serve.http import ServeHandler, encode_json, make_server
 from repro.serve.store import ItemStore
 
 
@@ -133,6 +135,44 @@ class TestErrorMapping:
             f"{base}/v1/select", data=b"{not json", method="POST"
         )
         assert _status_of(lambda: urllib.request.urlopen(request, timeout=30)) == 400
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"m": 3, "mu": NaN}', b'{"lam": Infinity}', b'{"mu": -Infinity}']
+    )
+    def test_non_finite_literal_is_400(self, served, raw):
+        base, _ = served
+        request = urllib.request.Request(
+            f"{base}/v1/select", data=raw, method="POST"
+        )
+        try:
+            urllib.request.urlopen(request, timeout=30)
+        except urllib.error.HTTPError as error:
+            assert error.code == 400
+            assert "not a JSON number" in json.loads(error.read())["error"]
+        else:
+            pytest.fail("expected 400")
+
+    def test_invalid_utf8_is_400(self, served):
+        base, _ = served
+        request = urllib.request.Request(
+            f"{base}/v1/select", data=b'{"target": "\xff"}', method="POST"
+        )
+        assert _status_of(lambda: urllib.request.urlopen(request, timeout=30)) == 400
+
+    @pytest.mark.parametrize("raw", [b'{"mu": 1e999}', b'{"lam": -1e999}'])
+    def test_overflowing_number_is_422(self, served, raw):
+        """1e999 is valid JSON but parses to infinity: a semantic error."""
+        base, _ = served
+        request = urllib.request.Request(
+            f"{base}/v1/select", data=raw, method="POST"
+        )
+        try:
+            urllib.request.urlopen(request, timeout=30)
+        except urllib.error.HTTPError as error:
+            assert error.code == 422
+            assert "finite" in json.loads(error.read())["error"]
+        else:
+            pytest.fail("expected 422")
 
     def test_mistyped_field_is_400(self, served):
         base, _ = served
@@ -346,3 +386,45 @@ class TestReloadEndpoint:
     def test_get_on_reload_is_405(self, served):
         base, _ = served
         assert _status_of(lambda: _get(f"{base}/v1/reload")) == 405
+
+
+class _CountingSocket:
+    """Just enough of a socket for one handler: canned request bytes in,
+    every ``sendall`` recorded."""
+
+    def __init__(self, request: bytes) -> None:
+        self._request = request
+        self.writes: list[bytes] = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self._request)
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+class TestResponseWrites:
+    def test_response_reaches_the_socket_in_one_write(self, served):
+        """Head and body in one write: a second write would sit behind
+        Nagle's algorithm until the client's delayed ACK (about 40 ms)."""
+        base, engine = served
+        body = b'{"m": 2}'
+        request = (
+            b"POST /v1/select HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n"
+            b"Connection: close\r\n\r\n" + body
+        )
+        sock = _CountingSocket(request)
+        server = types.SimpleNamespace(engine=engine)
+        ServeHandler(sock, ("127.0.0.1", 0), server)
+        assert len(sock.writes) == 1
+        head, _, payload = sock.writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert json.loads(payload)["result"]
+
+    def test_handler_disables_nagle(self):
+        assert ServeHandler.disable_nagle_algorithm is True
